@@ -6,10 +6,11 @@ the event stream is consistent with the *happens-before* partial order
 
 * a :class:`CausalTracker` maintains, per world rank, a Lamport clock
   and a dense vector clock (the dynamic-vector-clock construction of
-  Mattern/Fidge).  :class:`~repro.simmpi.comm.Communicator` hooks call
-  it on every send, every message absorption, and every collective
-  round — under both the ``events`` and ``threads`` engines, and on the
-  replay path too, since replay reuses the same send/absorb primitives.
+  Mattern/Fidge).  It is a comm probe (:mod:`repro.simmpi.probes`), so
+  every communicator calls it on every send, every completed receive,
+  and every collective round — under both the ``events`` and
+  ``threads`` engines, and on the replay path too, since replay reuses
+  the same send/receive primitives.
 * every in-flight :class:`~repro.simmpi.datatypes.Message` carries a
   :class:`CausalStamp` in its out-of-band ``causal`` field.  The stamp
   never touches ``payload_nbytes``, so enabling causal tracing cannot
@@ -39,6 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.simmpi.comm import _COLL_TAG_BASE
+from repro.simmpi.probes import CommProbe
 
 #: Collectives after which *every* participant causally depends on
 #: *every* participant's entry (all-to-all information flow).  ``scan``,
@@ -143,7 +145,7 @@ def _frozen(vec: np.ndarray) -> np.ndarray:
     return snap
 
 
-class CausalTracker:
+class CausalTracker(CommProbe):
     """Per-world-rank Lamport + vector clocks for one SPMD run.
 
     ``events_limit`` bounds per-rank event retention (a ring buffer):
@@ -166,7 +168,7 @@ class CausalTracker:
         self._events: list[list[CausalEvent]] = [[] for _ in range(num_ranks)]
         self._dropped = [0] * num_ranks
 
-    # -- hot-path hooks (called from Communicator) --------------------------
+    # -- probe hooks (called by Communicator) -------------------------------
 
     def _append(self, rank: int, event: CausalEvent) -> None:
         events = self._events[rank]
@@ -176,7 +178,7 @@ class CausalTracker:
             self._dropped[rank] += 1
         events.append(event)
 
-    def on_send(self, rank: int, peer: int, tag: int, nbytes: int) -> CausalStamp:
+    def on_send(self, rank, peer, tag, nbytes, t_start, t_end) -> CausalStamp:
         """Tick the sender's clocks; returns the stamp to piggyback."""
         vec = self._vectors[rank]
         vec[rank] += 1
@@ -190,9 +192,9 @@ class CausalTracker:
         ))
         return stamp
 
-    def on_recv(self, rank: int, stamp: CausalStamp | None,
-                peer: int, tag: int) -> None:
-        """Merge an absorbed message's stamp into the receiver's clocks."""
+    def on_recv(self, rank, msg, t_start, t_end, user) -> None:
+        """Merge a received message's stamp into the receiver's clocks."""
+        stamp = msg.causal
         vec = self._vectors[rank]
         if stamp is not None:
             np.maximum(vec, stamp.vector, out=vec)
@@ -200,7 +202,7 @@ class CausalTracker:
         vec[rank] += 1
         self._lamport[rank] += 1
         self._append(rank, CausalEvent(
-            rank=rank, kind="recv", peer=peer, tag=tag, label="", seq=-1,
+            rank=rank, kind="recv", peer=msg.source, tag=msg.tag, label="", seq=-1,
             origin=None if stamp is None else (stamp.rank, stamp.seq),
             lamport=self._lamport[rank], vector=_frozen(vec),
         ))
@@ -214,13 +216,13 @@ class CausalTracker:
             origin=None, lamport=self._lamport[rank], vector=_frozen(vec),
         ))
 
-    def on_collective_enter(self, rank: int, label: str) -> None:
+    def on_collective_enter(self, rank, name) -> None:
         """Mark a rank entering a collective round."""
-        self._on_collective(rank, label, "coll_enter")
+        self._on_collective(rank, name, "coll_enter")
 
-    def on_collective_exit(self, rank: int, label: str) -> None:
+    def on_collective_exit(self, rank, name, t_start, t_end) -> None:
         """Mark a rank leaving a collective round."""
-        self._on_collective(rank, label, "coll_exit")
+        self._on_collective(rank, name, "coll_exit")
 
     # -- introspection ------------------------------------------------------
 
@@ -258,9 +260,8 @@ class CausalTracker:
         matching of :func:`repro.obs.analysis._match_events` — the
         matching :func:`~repro.obs.analysis.critical_path` walks — is
         cross-checked against the exact ``(sender, seq)`` origin each
-        message carried.  The cross-check assumes a world-communicator
-        run (local rank == world rank), which is also what the replay
-        and recording layers support.
+        message carried.  Trace records and causal events both name
+        world ranks, so sub-communicator traffic is cross-checked too.
         """
         violations: list[CausalViolation] = []
         events_checked = 0

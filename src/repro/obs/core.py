@@ -185,10 +185,6 @@ class Observability:
         self.tracer = Tracer(enabled=self.config.enabled, sink=self._on_trace_record)
         self._stacks: dict[int, SpanStack] = {}
         self._lock = threading.Lock()
-        #: The run's :class:`~repro.obs.causal.CausalTracker`, attached
-        #: by :func:`~repro.simmpi.launcher.run_spmd` when causal
-        #: tracing is on (None otherwise).
-        self.causal = None
         #: A :class:`~repro.obs.streaming.StreamingSink` when a live
         #: telemetry stream is attached (the sweep engine does this).
         self.stream = None

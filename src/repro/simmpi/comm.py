@@ -9,6 +9,10 @@ real point-to-point messages, so their cost emerges from the same
 alpha-beta model instead of being hand-waved — a binomial bcast on an
 InfiniBand cluster is genuinely cheaper than on 1 GbE because each of
 its log2(p) hops is.
+
+Observers (tracer, schedule recorder, causal tracker) see the
+communicator through one :mod:`~repro.simmpi.probes` channel: a single
+probe call per observable site, none at all when nothing observes.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from repro.simmpi.datatypes import (
     SUM,
     payload_nbytes,
 )
-from repro.simmpi.tracing import TraceRecord, Tracer
+from repro.simmpi.probes import CommProbe
 from repro.simmpi.transport import Engine
 
 # Per-message CPU overhead on each side (LogP's "o" parameter).
@@ -47,7 +51,7 @@ _MAX_USER_TAG = _COLL_TAG_BASE - 1
 
 
 def _traced_collective(method):
-    """Record a "collective" trace event and bump the per-comm counter.
+    """Probe a collective's entry and exit and bump the per-comm counter.
 
     This is what makes communication-avoiding solver variants auditable:
     the fused-allreduce CG claims one round per iteration, and
@@ -59,17 +63,14 @@ def _traced_collective(method):
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
         start = self.clock.time
-        if self.causal is not None:
-            self.causal.on_collective_enter(self.world_rank, name)
+        if self._probe is not None:
+            self._probe.on_collective_enter(self.world_rank, name)
         result = method(self, *args, **kwargs)
-        if self.causal is not None:
-            self.causal.on_collective_exit(self.world_rank, name)
         self.collective_counts[name] += 1
-        self.tracer.record(
-            TraceRecord(self.rank, "collective", start, self.clock.time, label=name)
-        )
-        if self.op_recorder is not None:
-            self.op_recorder.on_collective(self.rank, name)
+        if self._probe is not None:
+            self._probe.on_collective_exit(
+                self.world_rank, name, start, self.clock.time
+            )
         return result
 
     return wrapper
@@ -81,7 +82,6 @@ class Request:
     def __init__(self, comm: "Communicator", kind: str, source: int = ANY_SOURCE,
                  tag: int = ANY_TAG, payload: Any = None):
         self._comm = comm
-        self._kind = kind
         self._source = source
         self._tag = tag
         self._payload = payload
@@ -102,7 +102,7 @@ class Request:
         msg = self._comm._try_collect(self._source, self._tag)
         if msg is None:
             return False, None
-        self._comm._absorb(msg)
+        self._comm._absorb(msg, user=True)
         self._payload = msg.payload
         self._done = True
         return True, self._payload
@@ -112,7 +112,9 @@ class Communicator:
     """An MPI-like communicator over the virtual-time engine.
 
     ``group`` maps local ranks to engine (world) ranks; the world
-    communicator has the identity group and context 0.
+    communicator has the identity group and context 0.  ``probe``
+    observes every send, receive, compute, phase and collective (see
+    :mod:`repro.simmpi.probes`); sub-communicators share it.
     """
 
     def __init__(
@@ -122,13 +124,11 @@ class Communicator:
         size: int,
         topology: ClusterTopology,
         clock: VirtualClock | None = None,
-        tracer: Tracer | None = None,
+        probe: CommProbe | None = None,
         context: int = 0,
         group: list[int] | None = None,
         volume_limit_bytes: float | None = None,
         nic_concurrency: float = 1.0,
-        op_recorder: Any = None,
-        causal: Any = None,
     ):
         if not (0 <= rank < size):
             raise CommunicatorError(f"rank {rank} outside communicator of size {size}")
@@ -137,7 +137,7 @@ class Communicator:
         self.size = size
         self.topology = topology
         self.clock = clock if clock is not None else VirtualClock()
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
+        self._probe = probe
         self.context = context
         #: ``range(size)`` for the identity (world) group: materializing a
         #: per-rank list and reverse dict made every communicator O(size),
@@ -151,6 +151,8 @@ class Communicator:
         self._world_to_local = (
             None if group is None else {w: l for l, w in enumerate(group)}
         )
+        #: This rank's id in the engine's world numbering.
+        self.world_rank: int = self.group[rank]
         self.volume_limit_bytes = volume_limit_bytes
         self.nic_concurrency = max(1.0, float(nic_concurrency))
         self.bytes_sent = 0
@@ -166,22 +168,8 @@ class Communicator:
         self._coll_seq = 0
         self._node_groups_cache: list[list[int]] | None = None
         self._selector_cache: CollectiveSelector | None = None
-        #: Schedule recorder (:class:`~repro.simmpi.recording.ScheduleRecorder`)
-        #: when the launch asked for ``record_schedule=True``; its hooks fire
-        #: at the same sites the tracer records, plus inside collectives.
-        self.op_recorder = op_recorder
-        #: Vector-clock tracker (:class:`~repro.obs.causal.CausalTracker`)
-        #: when the launch asked for causal tracing; stamps ride in
-        #: :attr:`Message.causal`, outside the payload, so the timing
-        #: model and byte accounting never see them.
-        self.causal = causal
 
     # -- identity -------------------------------------------------------------
-
-    @property
-    def world_rank(self) -> int:
-        """This rank's id in the engine's world numbering."""
-        return self.group[self.rank]
 
     @property
     def time(self) -> float:
@@ -199,20 +187,18 @@ class Communicator:
             raise CommunicatorError(f"compute duration must be >= 0, got {seconds}")
         start = self.clock.time
         self.clock.advance(seconds)
-        self.tracer.record(
-            TraceRecord(self.rank, "compute", start, self.clock.time, label=label)
-        )
-        if self.op_recorder is not None:
-            self.op_recorder.on_compute(self.rank, seconds, label)
+        if self._probe is not None:
+            self._probe.on_compute(
+                self.world_rank, seconds, label, start, self.clock.time
+            )
 
     @contextmanager
     def phase(self, label: str):
         """Trace a phase: ``with comm.phase("assembly"): ...``"""
         start = self.clock.time
         yield
-        self.tracer.record(
-            TraceRecord(self.rank, "phase", start, self.clock.time, label=label)
-        )
+        if self._probe is not None:
+            self._probe.on_phase(self.world_rank, label, start, self.clock.time)
 
     # -- point-to-point -----------------------------------------------------------
 
@@ -220,9 +206,9 @@ class Communicator:
         """Eager send: charges the sender its overhead and returns."""
         self._check_peer(dest)
         self._check_tag(tag)
-        self._send_impl(payload, dest, tag + 0, internal=False)
+        self._send_impl(payload, dest, tag + 0)
 
-    def _send_impl(self, payload: Any, dest: int, tag: int, internal: bool) -> None:
+    def _send_impl(self, payload: Any, dest: int, tag: int) -> None:
         self.engine.fault_op(self.world_rank)
         nbytes = payload_nbytes(payload)
         self.bytes_sent += nbytes
@@ -256,8 +242,10 @@ class Communicator:
         arrival = self.clock.time + link.latency
         stamp = (
             None
-            if self.causal is None
-            else self.causal.on_send(self.world_rank, world_dest, tag, nbytes)
+            if self._probe is None
+            else self._probe.on_send(
+                self.world_rank, world_dest, tag, nbytes, start, self.clock.time
+            )
         )
         self.engine.post(
             world_dest,
@@ -271,19 +259,6 @@ class Communicator:
                 causal=stamp,
             ),
         )
-        self.tracer.record(
-            TraceRecord(
-                self.rank,
-                "send",
-                start,
-                self.clock.time,
-                nbytes=nbytes,
-                peer=dest,
-                tag=tag,
-            )
-        )
-        if self.op_recorder is not None:
-            self.op_recorder.on_send(self.rank, dest, tag, nbytes)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive; returns the payload."""
@@ -292,52 +267,53 @@ class Communicator:
 
     def recv_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> tuple[Any, Status]:
         """Blocking receive; returns (payload, Status)."""
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-        world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
-        start = self.clock.time
-        msg = self.engine.wait_for_message(self.world_rank, self.context, world_source, tag)
-        self._absorb(msg)
-        local_source = self._local_of(msg.source)
-        self.tracer.record(
-            TraceRecord(
-                self.rank,
-                "recv",
-                start,
-                self.clock.time,
-                nbytes=msg.nbytes,
-                peer=local_source,
-                tag=msg.tag,
-            )
+        msg = self.engine.wait_for_message(
+            self.world_rank, self.context, self._world_source(source), tag
         )
-        return msg.payload, Status(source=local_source, tag=msg.tag, nbytes=msg.nbytes)
+        self._absorb(msg, user=True)
+        return msg.payload, self._status(msg)
 
-    def _absorb(self, msg: Message) -> None:
+    def _recv_from(self, source: int, tag: int) -> Any:
+        """Blocking internal receive from local rank ``source`` (collective
+        schedules and replay); returns the payload."""
+        msg = self.engine.wait_for_message(
+            self.world_rank, self.context, self.group[source], tag
+        )
+        self._absorb(msg)
+        return msg.payload
+
+    def _absorb(self, msg: Message, user: bool = False) -> None:
         """Merge the message's arrival time into this rank's clock."""
+        start = self.clock.time
         self.clock.merge(msg.arrival_time)
         self.clock.advance(RECV_OVERHEAD)
-        if self.causal is not None:
-            self.causal.on_recv(self.world_rank, msg.causal, msg.source, msg.tag)
-        if self.op_recorder is not None:
-            self.op_recorder.on_recv(
-                self.rank, self._local_of(msg.source), msg.tag, msg.nbytes
-            )
+        if self._probe is not None:
+            self._probe.on_recv(self.world_rank, msg, start, self.clock.time, user)
 
     def _local_of(self, world: int) -> int:
         """Local rank of a world rank (identity for the world group)."""
         table = self._world_to_local
         return world if table is None else table[world]
 
+    def _world_source(self, source: int) -> int:
+        """The world rank a receive from local ``source`` matches."""
+        if source == ANY_SOURCE:
+            return ANY_SOURCE
+        self._check_peer(source)
+        return self.group[source]
+
+    def _status(self, msg: Message) -> Status:
+        return Status(source=self._local_of(msg.source), tag=msg.tag, nbytes=msg.nbytes)
+
     def _try_collect(self, source: int, tag: int) -> Message | None:
-        if self.op_recorder is not None:
+        if self._probe is not None:
             # Request.test polling is timing-dependent control flow: the
             # outcome (and hence the program's op sequence) can legally
             # differ on another platform, so the schedule is not portable.
-            self.op_recorder.mark_unsupported("Request.test polling")
-        world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
+            self._probe.mark_unsupported("Request.test polling")
         mailbox = self.engine.mailboxes[self.world_rank]
         with mailbox.condition:
-            return mailbox.try_collect(self.context, world_source, tag)
+            return mailbox.try_collect(self.context, self._world_source(source), tag)
 
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
         """Non-blocking send (eager: completes immediately)."""
@@ -351,20 +327,14 @@ class Communicator:
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
         """Non-blocking probe: Status of a matching pending message
         (without consuming it), or None.  Does not advance the clock."""
-        if self.op_recorder is not None:
-            self.op_recorder.mark_unsupported("iprobe")
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-        world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
+        if self._probe is not None:
+            self._probe.mark_unsupported("iprobe")
+        world_source = self._world_source(source)
         mailbox = self.engine.mailboxes[self.world_rank]
         with mailbox.condition:
             for msg in mailbox._messages:
                 if msg.context == self.context and msg.matches(world_source, tag):
-                    return Status(
-                        source=self._local_of(msg.source),
-                        tag=msg.tag,
-                        nbytes=msg.nbytes,
-                    )
+                    return self._status(msg)
         return None
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
@@ -373,23 +343,20 @@ class Communicator:
         The message stays in the mailbox; the clock merges to its
         arrival time (you cannot know it exists before it arrives).
         """
-        if self.op_recorder is not None:
+        if self._probe is not None:
             # probe merges the clock without absorbing the message, a
             # timing effect the op stream cannot represent.
-            self.op_recorder.mark_unsupported("probe")
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-        world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
-        msg = self.engine.wait_for_message(self.world_rank, self.context, world_source, tag)
+            self._probe.mark_unsupported("probe")
+        msg = self.engine.wait_for_message(
+            self.world_rank, self.context, self._world_source(source), tag
+        )
         # Put it back at the front so the next recv matches it first.
         mailbox = self.engine.mailboxes[self.world_rank]
         with mailbox.condition:
             mailbox._messages.insert(0, msg)
             mailbox.condition.notify_all()
         self.clock.merge(msg.arrival_time)
-        return Status(
-            source=self._local_of(msg.source), tag=msg.tag, nbytes=msg.nbytes
-        )
+        return self._status(msg)
 
     @staticmethod
     def waitall(requests: list["Request"]) -> list[Any]:
@@ -435,9 +402,9 @@ class Communicator:
         nbytes: int = -1, auto: bool = False, segmentable: bool = False,
     ) -> None:
         self.algorithm_counts[f"{collective}.{algorithm}"] += 1
-        if self.op_recorder is not None:
-            self.op_recorder.on_algorithm(
-                self.rank, collective, algorithm, nbytes, auto, segmentable
+        if self._probe is not None:
+            self._probe.on_algorithm(
+                self.world_rank, collective, algorithm, nbytes, auto, segmentable
             )
         from repro.obs.core import current as _obs_current
 
@@ -455,12 +422,9 @@ class Communicator:
         """Dissemination barrier; synchronizes virtual clocks."""
         tag = self._next_coll_tag()
         for offset in coll.dissemination_rounds(self.size):
-            self._send_impl(None, (self.rank + offset) % self.size, tag, internal=True)
+            self._send_impl(None, (self.rank + offset) % self.size, tag)
             self.engine.check_abort()
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[(self.rank - offset) % self.size], tag
-            )
-            self._absorb(msg)
+            self._recv_from((self.rank - offset) % self.size, tag)
 
     @_traced_collective
     def bcast(
@@ -508,13 +472,9 @@ class Communicator:
             if self.rank == root:
                 for dest in range(self.size):
                     if dest != root:
-                        self._send_impl(payload, dest, tag, internal=True)
+                        self._send_impl(payload, dest, tag)
                 return payload
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[root], tag
-            )
-            self._absorb(msg)
-            return msg.payload
+            return self._recv_from(root, tag)
         if algorithm == "scatter_allgather":
             return self._bcast_scatter_allgather(payload, root, tag)
         if algorithm == "hierarchical":
@@ -529,13 +489,9 @@ class Communicator:
         me = members.index(me_rank)
         parent = coll.binomial_parent(me, size, root_pos)
         if parent is not None:
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[members[parent]], tag
-            )
-            self._absorb(msg)
-            payload = msg.payload
+            payload = self._recv_from(members[parent], tag)
         for child in coll.binomial_children(me, size, root_pos):
-            self._send_impl(payload, members[child], tag, internal=True)
+            self._send_impl(payload, members[child], tag)
         return payload
 
     def _bcast_scatter_allgather(self, payload: Any, root: int, tag: int) -> Any:
@@ -554,11 +510,7 @@ class Communicator:
             segments = dict(enumerate(np.array_split(payload.ravel(), self.size)))
         else:
             parent = coll.binomial_parent(self.rank, self.size, root)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[parent], tag
-            )
-            self._absorb(msg)
-            meta, segments = msg.payload
+            meta, segments = self._recv_from(parent, tag)
             segments = dict(segments)
         # Forward each child its subtree's share of the segments; after
         # the loop this rank holds exactly its own segment.
@@ -569,7 +521,7 @@ class Communicator:
                 for i in coll.binomial_subtree(child_virtual, self.size)
                 if i in segments
             }
-            self._send_impl((meta, share), child, tag, internal=True)
+            self._send_impl((meta, share), child, tag)
         # Ring allgather (in virtual numbering): circulate one segment
         # per step until every rank holds all of them.
         collected = dict(segments)
@@ -577,12 +529,8 @@ class Communicator:
         send_to = (self.rank + 1) % self.size
         recv_from = (self.rank - 1) % self.size
         for _ in range(self.size - 1):
-            self._send_impl(carry, send_to, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[recv_from], tag
-            )
-            self._absorb(msg)
-            carry = msg.payload
+            self._send_impl(carry, send_to, tag)
+            carry = self._recv_from(recv_from, tag)
             collected[carry[0]] = carry[1]
         if virtual == 0:
             return payload
@@ -601,13 +549,9 @@ class Communicator:
         # the root already leads its node).
         if root != root_leader:
             if self.rank == root:
-                self._send_impl(payload, root_leader, tag, internal=True)
+                self._send_impl(payload, root_leader, tag)
             elif self.rank == root_leader:
-                msg = self.engine.wait_for_message(
-                    self.world_rank, self.context, self.group[root], tag
-                )
-                self._absorb(msg)
-                payload = msg.payload
+                payload = self._recv_from(root, tag)
         if self.rank == leader:
             payload = self._bcast_members(
                 payload, tag, leaders, self.rank, root_pos=leaders.index(root_leader)
@@ -628,29 +572,21 @@ class Communicator:
             accum = value
             # Receive from children in reverse send order (deepest first).
             for child in reversed(coll.binomial_children(self.rank, self.size, root)):
-                msg = self.engine.wait_for_message(
-                    self.world_rank, self.context, self.group[child], tag
-                )
-                self._absorb(msg)
-                accum = op(accum, msg.payload)
+                accum = op(accum, self._recv_from(child, tag))
             parent = coll.binomial_parent(self.rank, self.size, root)
             if parent is not None:
-                self._send_impl(accum, parent, tag, internal=True)
+                self._send_impl(accum, parent, tag)
                 return None
             return accum
         if algorithm == "linear":
             if self.rank != root:
-                self._send_impl(value, root, tag, internal=True)
+                self._send_impl(value, root, tag)
                 return None
             accum = value
             for src in range(self.size):
                 if src == root:
                     continue
-                msg = self.engine.wait_for_message(
-                    self.world_rank, self.context, self.group[src], tag
-                )
-                self._absorb(msg)
-                accum = op(accum, msg.payload)
+                accum = op(accum, self._recv_from(src, tag))
             return accum
         raise CommunicatorError(f"unknown reduce algorithm {algorithm!r}")
 
@@ -719,32 +655,20 @@ class Communicator:
         # Pre-phase: the top `excess` ranks fold into partners below pof2.
         if me >= pof2:
             partner = members[me - pof2]
-            self._send_impl(accum, partner, tag, internal=True)
+            self._send_impl(accum, partner, tag)
             # Wait for the final result in the post-phase.
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[partner], tag
-            )
-            self._absorb(msg)
-            return msg.payload
+            return self._recv_from(partner, tag)
 
         if me < excess:
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[members[me + pof2]], tag
-            )
-            self._absorb(msg)
-            accum = op(accum, msg.payload)
+            accum = op(accum, self._recv_from(members[me + pof2], tag))
 
         for mask in masks:
             partner = members[me ^ mask]
-            self._send_impl(accum, partner, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[partner], tag
-            )
-            self._absorb(msg)
-            accum = op(accum, msg.payload)
+            self._send_impl(accum, partner, tag)
+            accum = op(accum, self._recv_from(partner, tag))
 
         if me < excess:
-            self._send_impl(accum, members[me + pof2], tag, internal=True)
+            self._send_impl(accum, members[me + pof2], tag)
         return accum
 
     def _require_ndarray(self, value: Any, algorithm: str) -> np.ndarray:
@@ -770,21 +694,14 @@ class Communicator:
         me = members.index(me_rank)
         segments = np.array_split(arr.ravel(), size)
         send_to = members[(me + 1) % size]
-        recv_world = self.group[members[(me - 1) % size]]
+        recv_from = members[(me - 1) % size]
         for send_block, recv_block in coll.ring_reduce_scatter_steps(me, size):
-            self._send_impl(segments[send_block], send_to, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, recv_world, tag
-            )
-            self._absorb(msg)
-            segments[recv_block] = op(segments[recv_block], msg.payload)
+            self._send_impl(segments[send_block], send_to, tag)
+            incoming = self._recv_from(recv_from, tag)
+            segments[recv_block] = op(segments[recv_block], incoming)
         for send_block, recv_block in coll.ring_allgather_steps(me, size):
-            self._send_impl(segments[send_block], send_to, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, recv_world, tag
-            )
-            self._absorb(msg)
-            segments[recv_block] = msg.payload
+            self._send_impl(segments[send_block], send_to, tag)
+            segments[recv_block] = self._recv_from(recv_from, tag)
         return np.concatenate(segments).reshape(arr.shape)
 
     def _allreduce_rabenseifner(
@@ -802,18 +719,10 @@ class Communicator:
         accum: Any = arr
         if me >= pof2:
             partner = members[me - pof2]
-            self._send_impl(accum, partner, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[partner], tag
-            )
-            self._absorb(msg)
-            return msg.payload
+            self._send_impl(accum, partner, tag)
+            return self._recv_from(partner, tag)
         if me < excess:
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[members[me + pof2]], tag
-            )
-            self._absorb(msg)
-            accum = op(accum, msg.payload)
+            accum = op(accum, self._recv_from(members[me + pof2], tag))
 
         work = np.array(accum, copy=True).ravel()
         bounds = np.zeros(pof2 + 1, dtype=np.intp)
@@ -823,25 +732,17 @@ class Communicator:
             partner = members[me ^ mask]
             s0, s1 = bounds[send[0]], bounds[send[1]]
             k0, k1 = bounds[keep[0]], bounds[keep[1]]
-            self._send_impl(work[s0:s1].copy(), partner, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[partner], tag
-            )
-            self._absorb(msg)
-            work[k0:k1] = op(work[k0:k1], msg.payload)
+            self._send_impl(work[s0:s1].copy(), partner, tag)
+            work[k0:k1] = op(work[k0:k1], self._recv_from(partner, tag))
         for mask, keep, send in reversed(plan):
             partner = members[me ^ mask]
             k0, k1 = bounds[keep[0]], bounds[keep[1]]
             s0, s1 = bounds[send[0]], bounds[send[1]]
-            self._send_impl(work[k0:k1].copy(), partner, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[partner], tag
-            )
-            self._absorb(msg)
-            work[s0:s1] = msg.payload
+            self._send_impl(work[k0:k1].copy(), partner, tag)
+            work[s0:s1] = self._recv_from(partner, tag)
         result = work.reshape(arr.shape)
         if me < excess:
-            self._send_impl(result, members[me + pof2], tag, internal=True)
+            self._send_impl(result, members[me + pof2], tag)
         return result
 
     def _allreduce_hierarchical(
@@ -874,14 +775,10 @@ class Communicator:
         me = members.index(me_rank)
         accum = value
         for child in reversed(coll.binomial_children(me, size, 0)):
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[members[child]], tag
-            )
-            self._absorb(msg)
-            accum = op(accum, msg.payload)
+            accum = op(accum, self._recv_from(members[child], tag))
         parent = coll.binomial_parent(me, size, 0)
         if parent is not None:
-            self._send_impl(accum, members[parent], tag, internal=True)
+            self._send_impl(accum, members[parent], tag)
             return None
         return accum
 
@@ -891,18 +788,14 @@ class Communicator:
         self._check_peer(root)
         tag = self._next_coll_tag()
         if self.rank != root:
-            self._send_impl(value, root, tag, internal=True)
+            self._send_impl(value, root, tag)
             return None
         out = [None] * self.size
         out[root] = value
         for src in range(self.size):
             if src == root:
                 continue
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[src], tag
-            )
-            self._absorb(msg)
-            out[self._local_of(msg.source)] = msg.payload
+            out[src] = self._recv_from(src, tag)
         return out
 
     @_traced_collective
@@ -914,12 +807,8 @@ class Communicator:
         send_to, recv_from = coll.ring_neighbors(self.rank, self.size)
         carry_index = self.rank
         for _ in range(self.size - 1):
-            self._send_impl((carry_index, out[carry_index]), send_to, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[recv_from], tag
-            )
-            self._absorb(msg)
-            carry_index, payload = msg.payload
+            self._send_impl((carry_index, out[carry_index]), send_to, tag)
+            carry_index, payload = self._recv_from(recv_from, tag)
             out[carry_index] = payload
         return out
 
@@ -935,13 +824,9 @@ class Communicator:
                 )
             for dest in range(self.size):
                 if dest != root:
-                    self._send_impl(values[dest], dest, tag, internal=True)
+                    self._send_impl(values[dest], dest, tag)
             return values[root]
-        msg = self.engine.wait_for_message(
-            self.world_rank, self.context, self.group[root], tag
-        )
-        self._absorb(msg)
-        return msg.payload
+        return self._recv_from(root, tag)
 
     @_traced_collective
     def alltoall(self, values: list[Any]) -> list[Any]:
@@ -956,12 +841,8 @@ class Communicator:
         for shift in range(1, self.size):
             dest = (self.rank + shift) % self.size
             src = (self.rank - shift) % self.size
-            self._send_impl(values[dest], dest, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[src], tag
-            )
-            self._absorb(msg)
-            out[self._local_of(msg.source)] = msg.payload
+            self._send_impl(values[dest], dest, tag)
+            out[src] = self._recv_from(src, tag)
         return out
 
     @_traced_collective
@@ -970,13 +851,9 @@ class Communicator:
         tag = self._next_coll_tag()
         accum = value
         if self.rank > 0:
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[self.rank - 1], tag
-            )
-            self._absorb(msg)
-            accum = op(msg.payload, value)
+            accum = op(self._recv_from(self.rank - 1, tag), value)
         if self.rank + 1 < self.size:
-            self._send_impl(accum, self.rank + 1, tag, internal=True)
+            self._send_impl(accum, self.rank + 1, tag)
         return accum
 
     @_traced_collective
@@ -989,14 +866,10 @@ class Communicator:
         tag = self._next_coll_tag()
         prefix = None
         if self.rank > 0:
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[self.rank - 1], tag
-            )
-            self._absorb(msg)
-            prefix = msg.payload
+            prefix = self._recv_from(self.rank - 1, tag)
         if self.rank + 1 < self.size:
             carry = value if prefix is None else op(prefix, value)
-            self._send_impl(carry, self.rank + 1, tag, internal=True)
+            self._send_impl(carry, self.rank + 1, tag)
         return prefix
 
     @_traced_collective
@@ -1025,10 +898,10 @@ class Communicator:
         All ranks must call it (collective).  Returns the new
         sub-communicator for this rank's color.
         """
-        if self.op_recorder is not None:
+        if self._probe is not None:
             # Sub-communicator traffic would interleave with world traffic
             # in ways the single-context replay walker does not model.
-            self.op_recorder.mark_unsupported("split/dup sub-communicators")
+            self._probe.mark_unsupported("split/dup sub-communicators")
         if key is None:
             key = self.rank
         triples = self.allgather((int(color), int(key), self.rank))
@@ -1050,12 +923,11 @@ class Communicator:
             size=len(local_ranks),
             topology=self.topology,
             clock=self.clock,  # shared: same physical rank, same timeline
-            tracer=self.tracer,
+            probe=self._probe,
             context=mapping[color],
             group=[self.group[r] for r in local_ranks],
             volume_limit_bytes=self.volume_limit_bytes,
             nic_concurrency=self.nic_concurrency,
-            causal=self.causal,
         )
 
     def dup(self) -> "Communicator":

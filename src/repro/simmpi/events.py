@@ -32,14 +32,10 @@ threaded engine -- and, unlike the threaded engine, wildcard
 (``ANY_SOURCE``/``ANY_TAG``) matching is deterministic run-to-run, since
 mailbox arrival order is fixed by the policy instead of an OS race.
 
-Context backends: CPython's standard library has no user-level stack
-switching, so the portable backend (``"threadstack"``) parks one OS
-thread per task as a coroutine stack -- the scheduler serializes them so
-exactly one ever runs, and a switch is a single lock handoff.  When the
-optional :mod:`greenlet` package is importable the ``"greenlet"``
-backend runs every task on *one* OS thread with user-space switches; the
-scheduler, policy, and results are identical.  Select explicitly with
-``REPRO_SIMMPI_CONTEXT=threadstack|greenlet``.
+Context switching: CPython's standard library has no user-level stack
+switching, so each task runs on one parked OS thread used as a
+coroutine stack -- the scheduler serializes them so exactly one ever
+runs, and a switch is a single lock handoff.
 
 Failure semantics mirror the threaded engine: the first exception
 aborts the run (:meth:`EventEngine.abort` is the scheduler-level
@@ -62,11 +58,6 @@ from repro.errors import DeadlockError, SimMPIError
 from repro.simmpi.datatypes import Message
 from repro.simmpi.transport import Mailbox
 
-try:  # pragma: no cover - exercised only where greenlet is installed
-    import greenlet as _greenlet
-except ImportError:  # pragma: no cover
-    _greenlet = None
-
 #: Task lifecycle states.  RUNNABLE covers both "queued" and "currently
 #: executing" -- the scheduler's single-runnable invariant makes the
 #: distinction unobservable.
@@ -79,30 +70,15 @@ def current_task() -> "Task | None":
     """The event-engine task executing on this context, or None.
 
     This is the task-local anchor the observability layer hangs its
-    ambient span context on (:func:`repro.obs.core.current`): under the
-    threadstack backend each task owns its thread so thread-local
-    storage would suffice, but under the greenlet backend every task
-    shares one OS thread -- storing ambient state *on the task* is what
-    keeps per-rank span trees from bleeding into each other.
+    ambient span context on (:func:`repro.obs.core.current`): storing
+    ambient state *on the task* keeps per-rank span trees from bleeding
+    into each other.
     """
     return getattr(_task_tls, "task", None)
 
 
-def have_greenlet() -> bool:
-    """Whether the optional greenlet context backend is importable."""
-    return _greenlet is not None
-
-
-def default_context_backend() -> str:
-    """Backend selection: env override, else greenlet if present."""
-    forced = os.environ.get("REPRO_SIMMPI_CONTEXT", "").strip()
-    if forced:
-        return forced
-    return "greenlet" if _greenlet is not None else "threadstack"
-
-
 def _stack_bytes() -> int:
-    """Per-task stack reservation for threadstack contexts.
+    """Per-task stack reservation.
 
     1 MiB default (vs the 8 MiB OS default) keeps a p = 4096 run at a
     few GiB of *virtual* reservation; override with
@@ -120,7 +96,7 @@ def _pool_max() -> int:
 class _PooledStack:
     """A parked OS thread serving as a reusable coroutine stack.
 
-    Thread creation is the threadstack backend's only expensive
+    Thread creation is the engine's only expensive
     operation (each ``Thread.start`` is an OS round-trip that lands on
     the scheduler's critical path), so stacks outlive tasks *and*
     engines: after a task finishes, its stack re-parks in a process-wide
@@ -242,7 +218,7 @@ class Task:
 
     __slots__ = (
         "rank", "clock", "state", "waiting", "result", "locals",
-        "deliver_exception", "_stack", "_glet",
+        "deliver_exception", "_stack",
     )
 
     def __init__(self, rank: int, clock):
@@ -259,7 +235,6 @@ class Task:
         #: (how the deadlock detector addresses the detecting rank).
         self.deliver_exception: BaseException | None = None
         self._stack: _PooledStack | None = None
-        self._glet = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Task(rank={self.rank}, state={self.state})"
@@ -279,24 +254,12 @@ class EventEngine:
     engine_kind = "events"
 
     def __init__(self, num_ranks: int, real_timeout: float = 120.0,
-                 fault_injector=None, context_backend: str | None = None):
+                 fault_injector=None):
         if num_ranks < 1:
             raise SimMPIError(f"need at least one rank, got {num_ranks}")
-        backend = context_backend or default_context_backend()
-        if backend not in ("threadstack", "greenlet"):
-            raise SimMPIError(
-                f"unknown context backend {backend!r}; "
-                "expected 'threadstack' or 'greenlet'"
-            )
-        if backend == "greenlet" and _greenlet is None:
-            raise SimMPIError(
-                "context backend 'greenlet' requested but greenlet is not "
-                "installed; use 'threadstack'"
-            )
         self.num_ranks = num_ranks
         self.real_timeout = real_timeout
         self.fault_injector = fault_injector
-        self.context_backend = backend
         self.mailboxes = [Mailbox() for _ in range(num_ranks)]
         self._abort_exception: BaseException | None = None
         self._next_context = 1  # context 0 is the world communicator
@@ -305,7 +268,6 @@ class EventEngine:
         self._finished = 0
         self._errors: list[tuple[int, BaseException]] = []
         self._main_park = threading.Lock()
-        self._main_glet = None
         self._bind: tuple | None = None
 
     # -- context ids for split communicators --------------------------------
@@ -344,9 +306,6 @@ class EventEngine:
         exc = self._abort_exception
         if exc is not None:
             raise SimMPIError(f"run aborted: {exc!r}") from exc
-
-    def rank_finished(self) -> None:
-        """Bookkeeping parity with the threaded engine (no-op here)."""
 
     # -- fault injection -------------------------------------------------------
 
@@ -450,43 +409,29 @@ class EventEngine:
                 self._ready(task)
 
     def _yield_current(self, leaving: Task, park: bool = True) -> None:
-        """Hand control to the next task (or back to the launcher).
+        """Hand control to the next task (or back to the launcher);
+        returns when ``leaving`` is resumed.
 
         ``park`` is False only when ``leaving`` just finished: its stack
-        unwinds instead of suspending.
+        unwinds instead of suspending.  The handoff is a lock release
+        plus a park on the leaving task's own lock.  The park is
+        *unconditional* on the blocking path: the woken task may deliver
+        a message and re-ready ``leaving`` before ``leaving`` reaches its
+        park, so checking ``leaving.state`` here would race -- instead
+        the binary-lock protocol absorbs a wake-before-park (the release
+        leaves the lock open; the late acquire sails through).  The only
+        overlap between two stacks is that park, which touches no
+        scheduler state.
         """
         nxt = self._pick_next(leaving)
         if nxt is leaving:
             return  # rescheduled immediately (abort/deadlock delivery)
-        self._switch(leaving, nxt, park)
-
-    def _switch(self, leaving: Task, nxt: Task | None, park: bool) -> None:
-        """Backend-specific context transfer; returns when resumed.
-
-        Under threadstack the handoff is a lock release plus a park on
-        the leaving task's own lock.  The park is *unconditional* on the
-        blocking path: the woken task may deliver a message and re-ready
-        ``leaving`` before ``leaving`` reaches its park, so checking
-        ``leaving.state`` here would race -- instead the binary-lock
-        protocol absorbs a wake-before-park (the release leaves the lock
-        open; the late acquire sails through).  The only overlap between
-        two stacks is that park, which touches no scheduler state.
-        Under greenlet it is one in-thread switch.
-        """
-        if self.context_backend == "greenlet":
-            _task_tls.task = nxt
-            target = self._main_glet if nxt is None else self._ensure_greenlet(nxt)
-            target.switch()
-            _task_tls.task = leaving  # resumed
-            return
         if nxt is None:
             self._main_park.release()
         else:
             self._wake_thread(nxt)
         if park:
             leaving._stack.park.acquire()
-
-    # -- threadstack backend ---------------------------------------------------
 
     def _wake_thread(self, task: Task) -> None:
         """Resume the task's stack, binding a pooled one on first run."""
@@ -497,13 +442,6 @@ class EventEngine:
         task._stack = stack
         stack.job = (self, task)
         stack.park.release()
-
-    # -- greenlet backend ------------------------------------------------------
-
-    def _ensure_greenlet(self, task: Task):  # pragma: no cover - optional dep
-        if task._glet is None:
-            task._glet = _greenlet.greenlet(lambda: self._run_task(task))
-        return task._glet
 
     # -- task body -------------------------------------------------------------
 
@@ -549,21 +487,15 @@ class EventEngine:
         for task in self._tasks:
             self._ready(task)
         first = self._pick_next(self._tasks[0])
-        if self.context_backend == "greenlet":  # pragma: no cover - optional dep
-            self._main_glet = _greenlet.getcurrent()
-            _task_tls.task = first
-            self._ensure_greenlet(first).switch()
-            _task_tls.task = None
-        else:
-            self._main_park.acquire()  # parked state for the launcher
-            self._wake_thread(first)
-            if not self._main_park.acquire(timeout=self.real_timeout + 10.0):
-                exc = SimMPIError(
-                    f"event scheduler stalled for {self.real_timeout + 10.0:.0f}s "
-                    "real time (runaway rank program)"
-                )
-                self.abort(exc)
-                raise exc
+        self._main_park.acquire()  # parked state for the launcher
+        self._wake_thread(first)
+        if not self._main_park.acquire(timeout=self.real_timeout + 10.0):
+            exc = SimMPIError(
+                f"event scheduler stalled for {self.real_timeout + 10.0:.0f}s "
+                "real time (runaway rank program)"
+            )
+            self.abort(exc)
+            raise exc
         if self._errors:
             root = self._abort_exception
             if root is None:

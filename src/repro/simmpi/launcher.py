@@ -37,6 +37,8 @@ from repro.network.topology import ClusterTopology
 from repro.simmpi.clock import VirtualClock
 from repro.simmpi.comm import Communicator
 from repro.simmpi.events import EventEngine
+from repro.simmpi.probes import combine
+from repro.simmpi.recording import ScheduleRecorder
 from repro.simmpi.tracing import Tracer
 from repro.simmpi.transport import Engine
 
@@ -151,6 +153,10 @@ def run_spmd(
     :class:`~repro.errors.RankFailedError` is re-raised here as the
     run's root cause.
 
+    ``trace``, ``observability``, ``record_schedule`` and ``causal``
+    each add one observer to the run's comm probe
+    (:mod:`repro.simmpi.probes`); with none set, nothing is observed.
+
     An ``observability`` hub (:class:`repro.obs.Observability`) makes the
     run record into the hub's tracer (so its metrics sink sees every
     comm event); span instrumentation inside ``target`` still needs the
@@ -161,17 +167,17 @@ def run_spmd(
     thread-per-rank debug fallback); None defers to
     :func:`default_engine`.  Results are bit-identical either way.
 
-    ``record_schedule=True`` attaches a
-    :class:`~repro.simmpi.recording.ScheduleRecorder` to every rank's
-    communicator and exposes the frozen schedule as ``result.recording``
-    (None if the program used features replay cannot represent — see
-    ``docs/replay.md``); fault injection always disables recording.
+    ``record_schedule=True`` adds a
+    :class:`~repro.simmpi.recording.ScheduleRecorder` probe and exposes
+    the frozen schedule as ``result.recording`` (None if the program
+    used features replay cannot represent — see ``docs/replay.md``);
+    fault injection always disables recording.
 
     ``causal`` enables vector-clock tracing: pass ``True`` to build a
     fresh :class:`~repro.obs.causal.CausalTracker`, or an existing
     tracker to reuse one.  When an ``observability`` hub is attached
     with ``config.causal`` set, a tracker is created automatically.
-    The tracker rides back as ``result.causal`` (and on the hub) for
+    The tracker rides back as ``result.causal`` for
     :meth:`~repro.obs.causal.CausalTracker.check`.
 
     Raises the first rank exception after aborting the others.
@@ -195,18 +201,15 @@ def run_spmd(
     engine_cls = EventEngine if engine_kind == "events" else Engine
     runtime = engine_cls(num_ranks, real_timeout=real_timeout,
                          fault_injector=fault_injector)
-    if observability is not None:
-        tracer = observability.tracer
-    else:
-        tracer = Tracer(enabled=trace)
+    tracer = Tracer(enabled=trace) if observability is None else observability.tracer
+    probes = [tracer] if tracer.enabled else []
     recorder = None
     if record_schedule:
-        from repro.simmpi.recording import ScheduleRecorder
-
         recorder = ScheduleRecorder(num_ranks)
         if fault_injector is not None:
             recorder.mark_unsupported("fault injection")
-    tracker = causal if not isinstance(causal, bool) and causal is not None else None
+        probes.append(recorder)
+    tracker = None if isinstance(causal, bool) else causal
     if tracker is None and (
         causal is True
         or (observability is not None
@@ -215,8 +218,9 @@ def run_spmd(
         from repro.obs.causal import CausalTracker
 
         tracker = CausalTracker(num_ranks)
-    if observability is not None and tracker is not None:
-        observability.causal = tracker
+    if tracker is not None:
+        probes.append(tracker)
+    probe = combine(probes)
     comms = [
         Communicator(
             engine=runtime,
@@ -224,11 +228,9 @@ def run_spmd(
             size=num_ranks,
             topology=topology,
             clock=VirtualClock(),
-            tracer=tracer,
+            probe=probe,
             volume_limit_bytes=volume_limit_bytes,
             nic_concurrency=nic_concurrency,
-            op_recorder=recorder,
-            causal=tracker,
         )
         for r in range(num_ranks)
     ]

@@ -4,14 +4,14 @@ The platform-comparison artifacts re-run identical numerics per
 platform when only the virtual clock differs — the FEM/CG work is
 invariant across the EC2/grid/on-premises models.  This module is the
 "semantics" half of the split ROADMAP item 5 calls for: a
-:class:`ScheduleRecorder` rides along inside every
-:class:`~repro.simmpi.comm.Communicator` of a ``record_schedule=True``
-launch and captures, per rank and in execution order,
+:class:`ScheduleRecorder` is the comm probe
+(:mod:`repro.simmpi.probes`) of a ``record_schedule=True`` launch and
+captures, per rank and in execution order,
 
-* every **send** (local peer, tag, payload bytes),
+* every **send** (peer, tag, payload bytes),
 * every **receive** (the matched source, tag and bytes — including the
   receives *inside* collective schedules, which the
-  :class:`~repro.simmpi.tracing.Tracer` never sees),
+  :class:`~repro.simmpi.tracing.Tracer` does not record),
 * every **compute** charge (modeled seconds plus its label), and
 * collective boundaries and the algorithm the adaptive selector
   resolved at each call site (with the payload size and whether the
@@ -43,6 +43,7 @@ from typing import Any
 
 from repro.errors import RecordingError
 from repro.network.topology import ClusterTopology
+from repro.simmpi.probes import CommProbe
 from repro.simmpi.selector import CollectiveSelector
 
 #: File magic of the serialized form ("RePro Recorded Schedule").
@@ -76,13 +77,13 @@ def selector_for(topology: ClusterTopology, num_ranks: int) -> CollectiveSelecto
     return CollectiveSelector(topology, num_ranks, ranks_per_node=max(counts.values()))
 
 
-class ScheduleRecorder:
-    """Per-rank op capture hooked into every communicator of one launch.
+class ScheduleRecorder(CommProbe):
+    """Per-rank op capture: the probe of a recording launch.
 
-    The hooks are called from inside the rank's own execution context
-    (exactly where the tracer records), so per-rank buffers need no
-    locking under either engine — the same discipline
-    :class:`~repro.simmpi.tracing.Tracer` uses.
+    The hooks are called from inside the rank's own execution context,
+    so per-rank buffers need no locking under either engine — the same
+    discipline :class:`~repro.simmpi.tracing.Tracer` uses.  Ranks and
+    peers are world ranks, which are the replay walker's numbering.
     """
 
     def __init__(self, num_ranks: int):
@@ -92,28 +93,25 @@ class ScheduleRecorder:
         #: First unsupported feature the run touched (None = recordable).
         self.invalid_reason: str | None = None
 
-    # -- capture hooks (called by Communicator) -----------------------------
+    # -- probe hooks (called by Communicator) -------------------------------
 
-    def on_compute(self, rank: int, seconds: float, label: str) -> None:
+    def on_compute(self, rank, seconds, label, t_start, t_end):
         """One modeled compute charge, in the exact seconds requested."""
         self._ops[rank].append((OP_COMPUTE, float(seconds), label))
 
-    def on_send(self, rank: int, peer: int, tag: int, nbytes: int) -> None:
+    def on_send(self, rank, peer, tag, nbytes, t_start, t_end):
         """One eager send (user-level or collective-internal)."""
         self._ops[rank].append((OP_SEND, peer, tag, nbytes))
 
-    def on_recv(self, rank: int, peer: int, tag: int, nbytes: int) -> None:
-        """One absorbed receive, with the *matched* source and tag."""
-        self._ops[rank].append((OP_RECV, peer, tag, nbytes))
+    def on_recv(self, rank, msg, t_start, t_end, user):
+        """One completed receive, with the *matched* source and tag."""
+        self._ops[rank].append((OP_RECV, msg.source, msg.tag, msg.nbytes))
 
-    def on_collective(self, rank: int, name: str) -> None:
+    def on_collective_exit(self, rank, name, t_start, t_end):
         """A collective completed on this rank (audit marker, not replayed)."""
         self._ops[rank].append((OP_COLLECTIVE, name))
 
-    def on_algorithm(
-        self, rank: int, collective: str, algorithm: str,
-        nbytes: int, auto: bool, segmentable: bool,
-    ) -> None:
+    def on_algorithm(self, rank, collective, algorithm, nbytes, auto, segmentable):
         """The algorithm one collective call resolved to on this rank."""
         self._algorithms[rank].append(
             (collective, algorithm, int(nbytes), bool(auto), bool(segmentable))

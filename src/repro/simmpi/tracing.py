@@ -6,10 +6,12 @@ records exactly the way the authors reduced their timers (discard the
 first iterations, average the rest — that part lives in
 :mod:`repro.harness.results`).
 
-The tracer is also the single source of communication truth for the
-observability layer (:mod:`repro.obs`): an optional ``sink`` callable
-receives every record as it is appended, which is how live metrics and
-the Chrome-trace flow events are fed without a second recorder.
+The tracer is a comm probe (:mod:`repro.simmpi.probes`) and the single
+source of communication truth for the observability layer
+(:mod:`repro.obs`): an optional ``sink`` callable receives every record
+as it is appended, which is how live metrics and the Chrome-trace flow
+events are fed without a second recorder.  It records every send
+(collective-internal ones included) but only user-level receives.
 
 Concurrency discipline: there is no lock.  Each rank appends only to
 its *own* per-rank buffer (plain ``list.append``, atomic under CPython),
@@ -25,6 +27,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterator
+
+from repro.simmpi.probes import CommProbe
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,7 @@ class TraceRecord:
         return self.t_end - self.t_start
 
 
-class Tracer:
+class Tracer(CommProbe):
     """Collector of trace records for a whole SPMD run.
 
     Records live in per-rank append-only buffers (see the module
@@ -75,6 +79,34 @@ class Tracer:
         buffer.append(record)
         if self.sink is not None:
             self.sink(record)
+
+    # -- probe hooks (called by Communicator) ---------------------------------
+
+    def on_send(self, rank, peer, tag, nbytes, t_start, t_end):
+        """Record a send."""
+        if self.enabled:
+            self.record(TraceRecord(rank, "send", t_start, t_end, nbytes, peer, tag))
+
+    def on_recv(self, rank, msg, t_start, t_end, user):
+        """Record a user-level receive."""
+        if user and self.enabled:
+            self.record(TraceRecord(rank, "recv", t_start, t_end,
+                                    msg.nbytes, msg.source, msg.tag))
+
+    def on_compute(self, rank, seconds, label, t_start, t_end):
+        """Record a compute charge."""
+        if self.enabled:
+            self.record(TraceRecord(rank, "compute", t_start, t_end, label=label))
+
+    def on_phase(self, rank, label, t_start, t_end):
+        """Record a phase."""
+        if self.enabled:
+            self.record(TraceRecord(rank, "phase", t_start, t_end, label=label))
+
+    def on_collective_exit(self, rank, name, t_start, t_end):
+        """Record one collective call."""
+        if self.enabled:
+            self.record(TraceRecord(rank, "collective", t_start, t_end, label=name))
 
     def _merged(self) -> Iterator[TraceRecord]:
         for rank in sorted(self._buffers):
@@ -129,14 +161,6 @@ class Tracer:
         for r in self.snapshot():
             if r.kind == "collective" and (rank is None or r.rank == rank):
                 out[r.label] += 1
-        return dict(out)
-
-    def time_by_label(self) -> dict[str, float]:
-        """Total virtual duration per label, summed over ranks."""
-        out: dict[str, float] = defaultdict(float)
-        for r in self.snapshot():
-            if r.label:
-                out[r.label] += r.duration
         return dict(out)
 
     def max_time_by_label(self) -> dict[str, float]:

@@ -228,6 +228,36 @@ class TestRingBound:
         assert report.matches_checked == 0
 
 
+def _test_completed_recv(comm):
+    """Rank 1 completes its first receive with ``Request.test()``."""
+    if comm.rank == 0:
+        comm.send(b"a", dest=1, tag=1)
+        comm.send(b"b", dest=1, tag=2)
+        return comm.recv(source=1, tag=3)
+    req = comm.irecv(source=0, tag=1)
+    done = False
+    while not done:
+        done, _ = req.test()
+    comm.recv(source=0, tag=2)
+    comm.send(b"c", dest=0, tag=3)
+    return None
+
+
+class TestRequestTest:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_receive_completed_by_test_is_traced(self, engine):
+        """A receive completed by ``Request.test`` is traced like one
+        completed by ``recv``, so the trace's FIFO matching agrees with
+        the stamped origins."""
+        res = run_spmd(_test_completed_recv, 2, trace=True, causal=True,
+                       engine=engine)
+        recv_tags = [r.tag for r in res.tracer.by_rank(1) if r.kind == "recv"]
+        assert recv_tags == [1, 2]
+        report = res.causal.check(res.tracer)
+        assert report.ok, report.format()
+        assert report.matches_checked == 3
+
+
 def _traffic_program(edges):
     """sends first (non-blocking post), then receives — deadlock-free."""
     def main(comm):

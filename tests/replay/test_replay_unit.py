@@ -16,6 +16,7 @@ from repro.perfmodel.compute import (
     rd_modeled_compute,
 )
 from repro.resilience.faults import FaultInjector
+from repro.simmpi.datatypes import Message
 from repro.simmpi.launcher import default_topology, run_spmd
 from repro.simmpi.recording import ScheduleRecorder, ScheduleRecording
 from repro.simmpi.replay import replay_schedule
@@ -93,10 +94,12 @@ class TestRecorder:
 
     def test_finish_freezes_per_rank_streams(self):
         recorder = ScheduleRecorder(2)
-        recorder.on_compute(0, 2.5, "assembly")
-        recorder.on_send(0, 1, 7, 64)
-        recorder.on_recv(1, 0, 7, 64)
-        recorder.on_collective(1, "allreduce")
+        recorder.on_compute(0, 2.5, "assembly", 0.0, 2.5)
+        recorder.on_send(0, 1, 7, 64, 2.5, 2.5)
+        message = Message(context=0, source=0, tag=7, payload=None, nbytes=64,
+                          arrival_time=2.5)
+        recorder.on_recv(1, message, 0.0, 2.5, True)
+        recorder.on_collective_exit(1, "allreduce", 2.5, 2.5)
         rec = recorder.finish(meta={"workload": "unit"})
         assert rec.ops == ((("c", 2.5, "assembly"), ("s", 1, 7, 64)),
                            (("r", 0, 7, 64), ("k", "allreduce")))

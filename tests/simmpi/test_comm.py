@@ -429,6 +429,30 @@ class TestSplit:
 
         assert run(main, 4).returns[2] == ("sub", "world")
 
+    @pytest.mark.parametrize("engine", ("events", "threads"))
+    def test_sub_communicator_traces_in_world_ranks(self, engine):
+        """Probes see world ranks: world rank 2's send on its
+        sub-communicator lands in rank 2's trace buffer, peer world 0,
+        and the causal check agrees with the trace's matching."""
+
+        def main(comm):
+            sub = comm.split(comm.rank % 2)
+            if sub.rank == 1:
+                sub.send(b"x" * 8, dest=0, tag=5)
+            else:
+                sub.recv(source=1, tag=5)
+
+        result = run(main, 4, trace=True, causal=True, engine=engine)
+        tracer = result.tracer
+        sends = [(r.peer, r.nbytes) for r in tracer.by_rank(2)
+                 if r.kind == "send" and r.tag == 5]
+        assert sends == [(0, 8)]
+        recvs = [(r.rank, r.peer) for r in tracer.records if r.kind == "recv"]
+        assert recvs == [(0, 2), (1, 3)]
+        report = result.causal.check(tracer)
+        assert report.ok, report.format()
+        assert report.matches_checked == 2
+
     def test_dup(self):
         def main(comm):
             dup = comm.dup()
