@@ -3,16 +3,9 @@
 Not a paper artifact, but the measurements that anchor the calibration
 constants: assembly throughput (elements/s), Krylov solve rates,
 preconditioner setup, partitioner speed, and simmpi collective latency.
-
-Run as a script (``python benchmarks/bench_kernels.py [--smoke]``) to
-emit ``BENCH_kernels.json`` — the perf-trajectory record of the
-incremental hot path: seed-style per-step RD assembly+preconditioner
-versus the pattern-cached path, and classic versus fused distributed CG
-allreduce rounds.
+Run with pytest-benchmark (``pytest benchmarks/bench_kernels.py``); the
+repository benchmark with gated metrics is ``perfbench/``.
 """
-
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,94 +94,6 @@ class TestPartitionerKernels:
         assert assignment.max() == 7
 
 
-# ---------------------------------------------------------------------------
-# Incremental hot-path measurements (the BENCH_kernels.json payload).
-# The measurement bodies live in repro.obs.benchmarks so the bench gate
-# (repro.obs.gate) can re-run them without importing this pytest module.
-# ---------------------------------------------------------------------------
-
-from repro.obs.benchmarks import (  # noqa: E402
-    collect_kernel_metrics,
-    measure_dist_cg_rounds,
-    measure_rd_phases,
-    measure_rd_step_paths,
-    write_bench_json,
-)
-
-
-class TestIncrementalHotPath:
-    def test_rd_step_path_speedup(self):
-        """The tentpole acceptance target: >= 3x on the per-step RD
-        assembly+preconditioner path at the bench mesh size."""
-        stats = measure_rd_step_paths()
-        assert stats["speedup"] >= 3.0, stats
-
-    def test_fused_cg_single_round_per_iteration(self):
-        stats = measure_dist_cg_rounds()
-        assert stats["fused_rounds_per_iteration"] == 1.0
-        assert stats["rounds_ratio"] >= 1.5
-        assert stats["fused_rounds"] == stats["fused_bookkeeping_rounds"]
-        assert stats["solution_max_diff"] < 1e-9
-
-    def test_json_emitter(self, tmp_path):
-        metrics = collect_kernel_metrics(smoke=True)
-        path = write_bench_json(metrics, tmp_path / "BENCH_kernels.json")
-        loaded = json.loads(path.read_text())
-        assert loaded["benchmark"] == "kernels"
-        assert loaded["rd_step_path"]["speedup"] > 0
-
-
-def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small meshes / few steps, for CI",
-    )
-    parser.add_argument(
-        "--output", default=None, help="path for BENCH_kernels.json"
-    )
-    args = parser.parse_args(argv)
-    if args.output is not None and not Path(args.output).parent.exists():
-        parser.error(
-            f"output directory {Path(args.output).parent} does not exist"
-        )
-    metrics = collect_kernel_metrics(smoke=args.smoke)
-    path = write_bench_json(metrics, args.output)
-    rd = metrics["rd_step_path"]
-    dist = metrics["dist_cg_rounds"]
-    print(f"wrote {path}")
-    print(
-        f"RD step path: {rd['seed_seconds']:.4f}s -> "
-        f"{rd['incremental_seconds']:.4f}s ({rd['speedup']:.1f}x)"
-    )
-    print(
-        f"dist CG rounds: {dist['classic_rounds']} -> {dist['fused_rounds']} "
-        f"({dist['rounds_ratio']:.2f}x fewer, "
-        f"{dist['fused_rounds_per_iteration']:.0f}/iteration)"
-    )
-    phases = metrics["rd_phases"]
-    means = ", ".join(
-        f"{name}={value:.4f}s" for name, value in phases["phase_means"].items()
-    )
-    bound = phases["critical_path_bound"]
-    print(
-        f"RD phases ({phases['num_ranks']} ranks): {means}; critical path "
-        f"bound by rank {bound['rank']} {bound['phase']}"
-    )
-    colls = metrics["collectives"]
-    large = colls["cases"]["large"]
-    print(
-        f"collectives ({colls['num_ranks']} ranks, {colls['interconnect']}): "
-        f"large allreduce {large['fixed']['algorithm']} -> "
-        f"{large['adaptive']['algorithm']}, "
-        f"{large['offnode_bytes_ratio']:.1f}x fewer NIC bytes, "
-        f"{large['speedup']:.2f}x faster"
-    )
-    return 0
-
-
 class TestSimMPIKernels:
     def test_allreduce_8_ranks(self, benchmark):
         def run():
@@ -213,7 +118,3 @@ class TestSimMPIKernels:
 
         result = benchmark.pedantic(run, rounds=3, iterations=1)
         assert max(result.returns) > 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

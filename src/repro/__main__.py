@@ -12,7 +12,6 @@ Usage::
     python -m repro trace --out traces/  # observed RD run + exports
     python -m repro tail traces/         # follow a sweep's telemetry stream
     python -m repro health traces/       # wait-state report of a finished run
-    python -m repro bench-gate           # fresh kernels vs baseline + history
     python -m repro serve --port 8642    # broker-as-a-service (HTTP + stream)
     python -m repro submit fig4 --wait   # run through a service, coalesced
     python -m repro status --url ...     # jobs on a running service
@@ -428,6 +427,7 @@ def _cmd_serve(args) -> int:
     import signal
     import threading
 
+    from repro.errors import ServiceError
     from repro.service import (
         AdmissionPolicy,
         BrokerService,
@@ -452,7 +452,10 @@ def _cmd_serve(args) -> int:
         port=args.port,
     )
     service = BrokerService(config)
-    service.start()
+    try:
+        service.start()
+    except ServiceError as exc:
+        return cli.fail(str(exc))
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
     signal.signal(signal.SIGINT, lambda *_: stop.set())
@@ -568,26 +571,6 @@ def _cmd_status(args) -> int:
         },
     ))
     return 0
-
-
-def _cmd_bench_gate(args) -> int:
-    """Compare fresh kernel measurements against BENCH_kernels.json."""
-    from repro.obs import gate
-
-    forwarded = []
-    if args.baseline is not None:
-        forwarded += ["--baseline", str(args.baseline)]
-    if args.warn_only:
-        forwarded.append("--warn-only")
-    forwarded += ["--time-tolerance", str(args.time_tolerance)]
-    forwarded += ["--count-tolerance", str(args.count_tolerance)]
-    if args.history is not None:
-        forwarded += ["--history", str(args.history)]
-    if args.no_history:
-        forwarded.append("--no-history")
-    for section in args.only or ():
-        forwarded += ["--only", section]
-    return gate.main(forwarded)
 
 
 def _cmd_script(args) -> str:
@@ -706,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="broker-as-a-service: async job queue over localhost"
     )
     serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default 127.0.0.1)")
+                       help="loopback bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=cli.DEFAULT_SERVE_PORT,
                        help="bind port (default %d; 0 picks a free one)"
                             % cli.DEFAULT_SERVE_PORT)
@@ -751,28 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     cli.add_service_endpoint(status)
     cli.add_json_flag(status)
     status.set_defaults(func=_cmd_status)
-    bench_gate = sub.add_parser(
-        "bench-gate", help="fresh kernel measurements vs BENCH_kernels.json"
-    )
-    bench_gate.add_argument("--baseline", default=None)
-    bench_gate.add_argument("--warn-only", action="store_true")
-    from repro.obs.gate import DEFAULT_COUNT_TOLERANCE, DEFAULT_TIME_TOLERANCE
-
-    bench_gate.add_argument(
-        "--time-tolerance", type=float, default=DEFAULT_TIME_TOLERANCE
-    )
-    bench_gate.add_argument(
-        "--count-tolerance", type=float, default=DEFAULT_COUNT_TOLERANCE
-    )
-    bench_gate.add_argument("--history", default=None,
-                            help="trajectory history JSON "
-                                 "(default BENCH_history.json)")
-    bench_gate.add_argument("--no-history", action="store_true",
-                            help="skip the trajectory-regression check")
-    bench_gate.add_argument("--only", action="append", default=None,
-                            metavar="SECTION",
-                            help="gate only this section (repeatable)")
-    bench_gate.set_defaults(func=_cmd_bench_gate)
     return parser
 
 

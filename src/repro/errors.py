@@ -167,10 +167,6 @@ class ObservabilityError(ReproError):
     """Misuse of the observability layer (span stack, metrics, exporters)."""
 
 
-class BenchGateError(ObservabilityError):
-    """The bench gate could not run (missing baseline, malformed record)."""
-
-
 class BrokerError(ReproError):
     """Invalid brokering request or an unsatisfiable placement search."""
 

@@ -39,6 +39,7 @@ re-raise the original exception class.
 from __future__ import annotations
 
 import base64
+import ipaddress
 import json
 import pickle
 import threading
@@ -218,13 +219,31 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._send_text(prometheus_text(self.service.hub.metrics))
 
 
+def _require_loopback(host: str) -> None:
+    """Refuse any bind address a remote peer could reach: the endpoint
+    unpickles request bodies, so it may only listen on loopback."""
+    if host == "localhost":
+        return
+    try:
+        loopback = ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        loopback = False
+    if not loopback:
+        raise ServiceError(
+            f"refusing to bind {host!r}: the service endpoint is "
+            "loopback-only (localhost, 127.0.0.0/8 or ::1)"
+        )
+
+
 def serve_http(service, host: str = "127.0.0.1", port: int = 0):
     """Bind the endpoint and serve it on a daemon thread.
 
     Returns ``(server, thread)``; the caller owns shutdown
     (``server.shutdown(); server.server_close()``).  ``port`` 0 binds an
     ephemeral port — read the real one from ``server.server_address``.
+    ``host`` must be a loopback address (:class:`ServiceError` otherwise).
     """
+    _require_loopback(host)
     handler = type("BoundServiceHandler", (ServiceHandler,),
                    {"service": service})
     server = ThreadingHTTPServer((host, port), handler, bind_and_activate=False)

@@ -119,9 +119,13 @@ class BrokerService:
         if self.config.http:
             from repro.service.httpd import serve_http
 
-            self._httpd, self._http_thread = serve_http(
-                self, self.config.host, self.config.port
-            )
+            try:
+                self._httpd, self._http_thread = serve_http(
+                    self, self.config.host, self.config.port
+                )
+            except BaseException:
+                self.stop(drain=False)
+                raise
         return self
 
     def stop(self, drain: bool = True) -> None:

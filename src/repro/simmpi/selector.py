@@ -14,8 +14,8 @@ message bytes, topology)`` — every rank computes the same answer with
 no extra communication, which is what keeps SPMD ranks in lockstep and
 the serial-vs-parallel bit-identity guarantee intact.  The resulting
 per-interconnect decision tables are documented in
-``docs/collectives.md`` and recorded in ``BENCH_kernels.json``'s
-``collectives`` section.
+``docs/collectives.md``; the choices on the benchmark's p = 2048 run are
+pinned in ``perfbench/expected_counts.json``.
 """
 
 from __future__ import annotations

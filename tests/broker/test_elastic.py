@@ -66,6 +66,15 @@ class TestVolatileMarketAcceptance:
             d.to_dict() for d in report.decisions
         ]
 
+    def test_seed_7_decisions_and_cost_are_pinned(self, report):
+        """The committed outcome of the seed-7 scenario: four reclaims,
+        each answered by shrinking, at 0.80x the rigid all-spot dollars
+        (the bound allows 5% drift, as the old trajectory check did)."""
+        assert report.request.seed == 7
+        assert [d.action for d in report.decisions] == ["shrink"] * 4
+        ratio = report.cost_dollars / report.static_all_spot_cost
+        assert ratio <= 0.8045021561297919 * 1.05
+
     def test_report_to_dict_json_roundtrip(self, report):
         clone = json.loads(json.dumps(report.to_dict()))
         assert clone["beats_baselines"] is True

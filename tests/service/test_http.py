@@ -204,6 +204,34 @@ class TestCurlShape:
         assert exc.value.code == 404
 
 
+class TestLoopbackOnly:
+    """The endpoint unpickles request bodies, so it must never listen on
+    an address other hosts can reach."""
+
+    @pytest.mark.parametrize("host", ["0.0.0.0", "::", "192.0.2.1",
+                                      "example.invalid"])
+    def test_non_loopback_bind_is_refused(self, host):
+        service = BrokerService(
+            ServiceConfig(http=True, host=host), run_fn=echo_run
+        )
+        with pytest.raises(ServiceError, match="loopback-only"):
+            service.start()
+        assert not service.running
+
+    def test_serve_cli_refuses_wildcard(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["serve", "--host", "0.0.0.0", "--port", "0"]) != 0
+        assert "loopback-only" in capsys.readouterr().err
+
+    def test_loopback_bind_serves(self):
+        with BrokerService(
+            ServiceConfig(http=True, host="127.0.0.1"), run_fn=echo_run
+        ) as svc:
+            assert svc.url.startswith("http://127.0.0.1:")
+            assert repro.run(REQ, via=svc.url) == echo_run(REQ)
+
+
 class TestRunViaV2:
     def test_repro_run_via_url(self, service):
         result = repro.run(REQ, via=service.url, tenant="alice")

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.network.model import GIGABIT_ETHERNET, NetworkModel
 from repro.network.topology import ClusterTopology
+from repro.platforms import platform_by_name
 from repro.simmpi import MAX, SUM, CollectiveSelector, run_spmd
 from repro.simmpi import collectives as coll
 
@@ -237,3 +238,94 @@ class TestSelectorDecisions:
         assert chosen.internode_rounds <= chosen.rounds
         if size == 1:
             assert chosen.rounds == 0
+
+
+class TestAdaptiveVersusFixedOn1GbE:
+    """Adaptive against pinned recursive doubling on a 4x4-core 1 GbE
+    cluster, three allreduces per case: the selector keeps small
+    messages on the latency-optimal tree and moves large ones to the
+    hierarchical reduce-scatter schedule, which cuts NIC bytes without
+    costing virtual time.  All figures are exact simulator counts."""
+
+    NODES, CORES, REPS = 4, 4, 3
+
+    def _case(self, n_doubles, algorithm):
+        size = self.NODES * self.CORES
+        reps = self.REPS
+
+        def main(comm):
+            payload = np.full(n_doubles, float(comm.rank + 1))
+            t0, o0 = comm.time, comm.offnode_bytes_sent
+            for _ in range(reps):
+                result = comm.allreduce(payload, op=SUM, algorithm=algorithm)
+            assert np.all(result == size * (size + 1) / 2.0)
+            return comm.time - t0, comm.offnode_bytes_sent - o0, dict(
+                comm.algorithm_counts
+            )
+
+        topology = ClusterTopology(
+            self.NODES, self.CORES, NetworkModel(GIGABIT_ETHERNET)
+        )
+        per_rank = run(main, size, topology=topology).returns
+        chosen = {
+            key.split(".", 1)[1]
+            for _, _, counts in per_rank
+            for key in counts
+            if key.startswith("allreduce.")
+        }
+        seconds = max(s for s, _, _ in per_rank) / reps
+        offnode = sum(o for _, o, _ in per_rank) / reps
+        return chosen, seconds, offnode
+
+    def test_small_allreduce_stays_on_recursive_doubling(self):
+        chosen, _, _ = self._case(3, "auto")
+        assert chosen == {"recursive_doubling"}
+
+    def test_large_allreduce_goes_hierarchical(self):
+        fixed_chosen, fixed_seconds, fixed_offnode = self._case(
+            65536, "recursive_doubling"
+        )
+        chosen, seconds, offnode = self._case(65536, "auto")
+        assert fixed_chosen == {"recursive_doubling"}
+        assert chosen == {"hier_rabenseifner"}
+        assert (fixed_offnode, offnode) == (16_777_216, 3_145_728)
+        assert fixed_offnode / offnode >= 1.5
+        assert seconds <= fixed_seconds
+
+
+class TestPaperPlatformTables:
+    """The selection tables documented in docs/collectives.md."""
+
+    TABLES = {
+        ("puma", 64): [
+            ("recursive_doubling", "binomial"),
+            ("hier_recursive_doubling", "binomial"),
+            ("hier_rabenseifner", "binomial"),
+            ("hier_rabenseifner", "scatter_allgather"),
+        ],
+        ("lagrange", 64): [
+            ("recursive_doubling", "binomial"),
+            ("hier_recursive_doubling", "binomial"),
+            ("hier_ring", "binomial"),
+            ("ring", "scatter_allgather"),
+        ],
+        ("ec2", 16): [
+            ("recursive_doubling", "binomial"),
+            ("recursive_doubling", "binomial"),
+            ("rabenseifner", "scatter_allgather"),
+            ("rabenseifner", "scatter_allgather"),
+        ],
+    }
+
+    @pytest.mark.parametrize("platform,ranks", list(TABLES))
+    def test_documented_table(self, platform, ranks):
+        spec = platform_by_name(platform)
+        topology = (
+            spec.topology(num_nodes=spec.nodes_for_ranks(ranks))
+            if spec.on_demand else spec.topology()
+        )
+        rows = CollectiveSelector(topology, ranks).selection_table()
+        assert [r["nbytes"] for r in rows] == [8, 1024, 65536, 1 << 20]
+        assert [(r["allreduce"], r["bcast"]) for r in rows] == (
+            self.TABLES[platform, ranks]
+        )

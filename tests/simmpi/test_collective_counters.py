@@ -64,3 +64,31 @@ class TestTracerCollectives:
         for record in records:
             assert record.label == "allreduce"
             assert record.t_end >= record.t_start >= 0.0
+
+
+class TestDistributedRDCollectives:
+    def test_rd_run_collective_budget(self):
+        """A distributed RD run (6^3 mesh, p = 2, 8 BDF2 steps,
+        block-Jacobi) under full observability makes exactly this many
+        collectives per rank, of no other kind: an extra collective in
+        the time loop changes the count.  Its nodal error stays within
+        10x of the committed 5.92e-11."""
+        from repro.apps.reaction_diffusion import RDProblem, run_rd_distributed
+        from repro.obs import Observability, ObsConfig
+
+        obs = Observability(ObsConfig(discard=5))
+        problem = RDProblem(mesh_shape=(6, 6, 6), num_steps=8)
+
+        def main(comm):
+            return run_rd_distributed(
+                comm, problem, preconditioner="block-jacobi", discard=5,
+                obs=obs,
+            )
+
+        result = run(main, 2, observability=obs, real_timeout=120.0)
+        obs.check_balanced()
+        counts = obs.tracer.collective_counts_by_label(rank=0)
+        assert counts == {"alltoall": 1, "allreduce": 159, "gather": 8,
+                          "bcast": 8}
+        nodal_error = result.returns[0][2]
+        assert nodal_error <= 10 * 5.916978018660757e-11
